@@ -67,10 +67,10 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     from repro.native.backend import BACKEND_NAMES
     p.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                    help="kernel backend: numpy (vectorised, default), "
-                        "numba (compiled, needs `pip install "
-                        ".[native]`), cnative (embedded C via the host "
-                        "compiler), or auto (numba if importable, else "
-                        "numpy with a one-time warning); "
+                        "cnative (embedded C via the host compiler; "
+                        "exit 2 if it cannot build), or auto (cnative "
+                        "if it builds, else numpy with a one-time "
+                        "warning); "
                         "$REPRO_BACKEND sets the default — samples are "
                         "bitwise-identical on every backend")
 

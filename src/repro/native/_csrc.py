@@ -1,14 +1,28 @@
-"""Embedded C translation of :mod:`repro.native.kernels_py`.
+"""Embedded C source of the per-step hot kernels.
 
 Compiled once per host by :mod:`repro.native.cnative` (``cc -O2
--fPIC -shared -ffp-contract=off``) and loaded via ctypes — the fast
-backend on machines that have a C toolchain but no numba wheel.
+-fPIC -shared -ffp-contract=off``) and loaded via ctypes.
 
-The bodies are line-for-line ports of the Python kernels; every
-floating-point expression keeps the same operand order, and
-``-ffp-contract=off`` forbids FMA contraction, so results match numpy
-bit for bit.  The PCG64 step uses ``unsigned __int128`` directly
-instead of the uint64-limb arithmetic the numba bodies need.
+Contract with the numpy kernels (``repro.api.apps._kernels``), which
+are the bitwise oracle:
+
+* fixed-draw-count kernels (uniform, weighted, segment fill) consume a
+  pre-drawn block ``r`` of doubles in exactly the order numpy drew
+  them — ``(count, m)`` C-order for uniform/segment, ``(m, count)``
+  for weighted;
+* ``repro_node2vec_fill`` draws data-dependent randomness through the
+  PCG64 shim (:mod:`repro.native.rngshim`) in numpy's call order: per
+  rejection round, one pick draw for every pending pair, then one
+  accept draw for every pending pair;
+* truncating ``r * n`` to a pick matches numpy's ``astype(np.int64)``;
+* the weighted kernel's per-row upper-bound binary search over the
+  global weight cumsum returns the same index as numpy's global
+  ``searchsorted(..., side="right")`` + clamp, because every index
+  before the row start holds mass ``<= base <= target``.
+
+Every floating-point expression keeps numpy's operand order, and
+``-ffp-contract=off`` forbids FMA contraction, so results match bit
+for bit.
 """
 
 from __future__ import annotations

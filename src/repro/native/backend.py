@@ -1,39 +1,32 @@
-"""Kernel backend interface, selection, and compiled orchestration.
+"""Kernel backend interface, selection, and the compiled C backend.
 
 The per-step hot kernels — individual-step neighbor draws (uniform,
 weighted, node2vec rejection), the counting-sort scheduling index,
 collective gather, and row dedupe — run behind a
-:class:`KernelBackend`.  Three implementations exist:
+:class:`KernelBackend`.  Two implementations exist:
 
 ``numpy``
     the default: every hook returns ``None`` and the caller falls
     through to the existing vectorised numpy code, untouched;
-``numba``
-    the kernel bodies of :mod:`repro.native.kernels_py` compiled with
-    ``numba.njit(nogil=True, cache=True)`` when numba is installed
-    (``pip install .[native]``), or run interpreted (bit-identical,
-    slow — parity testing on hosts without numba) when it is not;
 ``cnative``
     the same kernels as C, compiled once with the host toolchain and
-    loaded via ctypes (:mod:`repro.native.cnative`) — the fast path on
-    machines that have a C compiler but no numba wheel.
+    loaded via ctypes (:mod:`repro.native.cnative`).
 
 Selection: explicit name > ``$REPRO_BACKEND`` > ``numpy``; ``auto``
-resolves to numba when importable and otherwise falls back to numpy
-with a single warning.  The resolved choice is exported as the
-``runtime.backend_active`` gauge (:data:`BACKEND_IDS`).
+resolves to cnative when its library builds and otherwise falls back
+to numpy with a single warning.  An explicit ``cnative`` that cannot
+build (no compiler, failed compile, missing symbol) raises
+``RuntimeError`` from :func:`set_backend`, before any draw.  The
+resolved choice is exported as the ``runtime.backend_active`` gauge
+(:data:`BACKEND_IDS`).
 
-Parity contract (the reason hooks may return ``None`` at any point):
-every hook either produces *exactly* what the numpy code would have
-produced — same values, same dtypes, same RNG draws in the same order
-— or declines (``None``) **before touching the generator**, so the
-numpy fallback replays from an identical stream position.  The one
-exception is a kernel failing *after* its block of doubles was drawn;
-the ``*_from_draws`` rescues below then consume that same block with
-numpy ops, keeping the stream aligned.  Failures are recorded once per
-kernel (warning + ``native.compile_failures`` counter) and the kernel
-is disabled for the rest of the process — every other kernel stays
-compiled.
+Parity contract (the reason hooks may return ``None``): every hook
+either produces *exactly* what the numpy code would have produced —
+same values, same dtypes, same RNG draws in the same order — or
+declines (``None``) **before touching the generator**, so the numpy
+path replays from an identical stream position.  Declines are chosen
+from the input alone (dtype/layout, a relabeled graph for node2vec, a
+non-PCG64 generator, a huge grouping span).
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ import numpy as np
 
 from repro.api.types import NULL_VERTEX
 from repro.native import rngshim
-from repro.obs import events, get_metrics
+from repro.obs import get_metrics
 
 __all__ = [
     "BACKEND_ENV",
@@ -56,8 +49,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "KernelBackend",
     "NumpyBackend",
-    "CompiledBackend",
-    "NumbaBackend",
     "CNativeBackend",
     "resolve_backend_name",
     "set_backend",
@@ -71,10 +62,12 @@ __all__ = [
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Accepted ``--backend`` / ``$REPRO_BACKEND`` values.
-BACKEND_NAMES = ("auto", "numpy", "numba", "cnative")
+BACKEND_NAMES = ("auto", "numpy", "cnative")
 
-#: Resolved backend -> ``runtime.backend_active`` gauge value.
-BACKEND_IDS = {"numpy": 0, "numba": 1, "cnative": 2}
+#: Resolved backend -> ``runtime.backend_active`` gauge value.  Id 1
+#: belonged to a retired backend; ids are never reused, so older stats
+#: files keep their meaning.
+BACKEND_IDS = {"numpy": 0, "cnative": 2}
 
 DEFAULT_BACKEND = "numpy"
 
@@ -89,15 +82,13 @@ class KernelBackend:
 
     #: Resolved implementation name (a key of :data:`BACKEND_IDS`).
     name = "numpy"
-    #: True when kernels run outside the interpreter (numba or C).
-    compiled = False
 
     def available(self) -> bool:
         """Whether this backend can run at all on this host."""
         return True
 
     def warm_up(self) -> None:
-        """Force kernel compilation before the first real chunk so
+        """Prepare every kernel before the first real chunk, so
         per-chunk timings are honest.  Idempotent."""
 
     # -- hooks (None => numpy fallback) --------------------------------
@@ -132,206 +123,93 @@ class NumpyBackend(KernelBackend):
     """The current vectorised numpy code, selected explicitly."""
 
 
-# -- numpy rescues consuming an already-drawn block --------------------
-#
-# These replicate the tail of the corresponding numpy kernels exactly
-# (same picks arithmetic, same searchsorted), but take the pre-drawn
-# doubles instead of the generator — used only when a compiled fill
-# kernel fails after its block was drawn, so the stream stays aligned.
-
-def _eligible_indices(graph, transits):
-    live = transits != NULL_VERTEX
-    safe = np.where(live, transits, 0)
-    return np.nonzero(live & (graph.degrees_array[safe] > 0))[0]
-
-
-def _uniform_from_draws(graph, transits, m, r):
-    idx = _eligible_indices(graph, transits)
-    t = transits[idx]
-    deg = graph.degrees_array[t]
-    picks = (r.reshape(t.size, m) * deg[:, None]).astype(np.int64)
-    picks = np.minimum(picks, (deg - 1)[:, None])
-    out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-    out[idx] = graph.indices[graph.indptr[t][:, None] + picks]
-    return out
-
-
-def _weighted_from_draws(graph, transits, m, r):
-    idx = _eligible_indices(graph, transits)
-    t = transits[idx]
-    starts = graph.indptr[t]
-    ends = starts + graph.degrees_array[t]
-    cumsum = graph.global_weight_cumsum()
-    row_base, row_total = graph.weight_row_spans()
-    targets = row_base[t] + r.reshape(m, t.size) * row_total[t]
-    pos = np.searchsorted(cumsum, targets, side="right")
-    pos = np.minimum(pos, ends - 1)
-    out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-    out[idx] = graph.indices[pos].T
-    return out
-
-
-def _segment_from_draws(values, offsets, m, r):
-    sizes = np.diff(offsets)
-    live = sizes > 0
-    picks = (r.reshape(int(live.sum()), m)
-             * sizes[live][:, None]).astype(np.int64)
-    picks = np.minimum(picks, (sizes[live] - 1)[:, None])
-    out = np.full((offsets.size - 1, m), NULL_VERTEX, dtype=np.int64)
-    out[live] = values[offsets[:-1][live][:, None] + picks]
-    return out
-
-
 #: Guard on the counting-sort histogram span (the numpy path bincounts
 #: the same span, but a compiled backend should not be the one to turn
 #: a pathological id range into a giant allocation).
 _MAX_GROUP_SPAN = 1 << 27
 
 
-class CompiledBackend(KernelBackend):
-    """Shared orchestration over a table of compiled kernels.
+class CNativeBackend(KernelBackend):
+    """Kernels compiled from embedded C via the host toolchain.
 
-    Subclasses provide :meth:`_build` (name -> callable with the
-    :mod:`repro.native.kernels_py` signature); this class provides the
-    eligibility counting, RNG pre-draw blocks, the node2vec shim
-    handshake, and per-kernel graceful degradation.
+    :meth:`warm_up` (called by :func:`set_backend`) builds the library
+    and binds every kernel; the hooks assume it has run.  The hooks do
+    the eligibility counting, RNG pre-draw blocks, and the node2vec
+    shim handshake around the C calls.
     """
 
-    compiled = True
-    #: Interpreted uint64 arithmetic warns on intentional wraparound;
-    #: set by subclasses that may run the Python bodies directly.
-    _suppress_overflow = False
+    name = "cnative"
 
     def __init__(self) -> None:
-        self._table: Dict[str, object] = {}
-        self._failed: set = set()
-        self._warmed = False
+        self._kernels: Optional[Dict[str, object]] = None
 
-    def _build(self, name: str):
-        raise NotImplementedError
+    def available(self) -> bool:
+        from repro.native import cnative
+        return cnative.toolchain_available()
 
-    def _get(self, name: str):
-        if name in self._failed:
-            return None
-        kernel = self._table.get(name)
-        if kernel is None:
-            try:
-                kernel = self._build(name)
-            except Exception as exc:
-                self._disable(name, exc)
-                return None
-            self._table[name] = kernel
-        return kernel
+    def warm_up(self) -> None:
+        """Build (or reuse) the shared library and bind every kernel.
 
-    def _disable(self, name: str, exc: BaseException) -> None:
-        """Record a kernel failure once and fall back to numpy for that
-        kernel only (satellite: graceful degradation)."""
-        if name in self._failed:
-            return
-        self._failed.add(name)
-        get_metrics().counter("native.compile_failures").inc()
-        events.record("backend_fallback", kernel=name,
-                      backend=self.name,
-                      error=f"{type(exc).__name__}: {exc}")
-        warnings.warn(
-            f"native backend {self.name!r}: kernel {name!r} disabled "
-            f"after {type(exc).__name__}: {exc}; using numpy for this "
-            f"kernel", RuntimeWarning, stacklevel=3)
-
-    def _call(self, kernel, *args):
-        if self._suppress_overflow:
-            with np.errstate(over="ignore"):
-                return kernel(*args)
-        return kernel(*args)
+        Raises ``RuntimeError`` when there is no compiler, the compile
+        fails, or a symbol is missing.
+        """
+        if self._kernels is None:
+            from repro.native import cnative
+            self._kernels = cnative.load_kernels()
 
     # -- individual-step draws -----------------------------------------
 
     def uniform_neighbors(self, graph, transits, m, rng):
-        count_k = self._get("uniform_count")
-        fill_k = self._get("uniform_fill")
-        if count_k is None or fill_k is None:
-            return None
+        k = self._kernels
         transits = np.ascontiguousarray(transits, dtype=np.int64)
         out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
         if m == 0:
             return out
         degrees = graph.degrees_array
-        try:
-            count = int(self._call(count_k, transits, degrees,
-                                   NULL_VERTEX))
-        except Exception as exc:
-            self._disable("uniform_count", exc)
-            return None
+        count = int(k["uniform_count"](transits, degrees, NULL_VERTEX))
         if count == 0:
             return out
         r = rng.random(size=count * m)
-        try:
-            self._call(fill_k, graph.indptr, graph.indices, degrees,
-                       transits, m, r, out, NULL_VERTEX)
-        except Exception as exc:
-            self._disable("uniform_fill", exc)
-            return _uniform_from_draws(graph, transits, m, r)
+        k["uniform_fill"](graph.indptr, graph.indices, degrees, transits,
+                          m, r, out, NULL_VERTEX)
         return out
 
     def weighted_neighbors(self, graph, transits, m, rng):
         if not graph.is_weighted:
             return self.uniform_neighbors(graph, transits, m, rng)
-        count_k = self._get("uniform_count")
-        fill_k = self._get("weighted_fill")
-        if count_k is None or fill_k is None:
-            return None
+        k = self._kernels
         transits = np.ascontiguousarray(transits, dtype=np.int64)
         out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
         if m == 0:
             return out
         degrees = graph.degrees_array
-        try:
-            count = int(self._call(count_k, transits, degrees,
-                                   NULL_VERTEX))
-        except Exception as exc:
-            self._disable("uniform_count", exc)
-            return None
+        count = int(k["uniform_count"](transits, degrees, NULL_VERTEX))
         if count == 0:
             return out
         cumsum = graph.global_weight_cumsum()
         row_base, row_total = graph.weight_row_spans()
         r = rng.random(size=m * count)
-        try:
-            self._call(fill_k, graph.indptr, graph.indices, degrees,
-                       cumsum, row_base, row_total, transits, m, count,
-                       r, out, NULL_VERTEX)
-        except Exception as exc:
-            self._disable("weighted_fill", exc)
-            return _weighted_from_draws(graph, transits, m, r)
+        k["weighted_fill"](graph.indptr, graph.indices, degrees, cumsum,
+                           row_base, row_total, transits, m, count, r,
+                           out, NULL_VERTEX)
         return out
 
     # -- collective selection ------------------------------------------
 
     def segment_choice(self, values, offsets, m, rng):
-        count_k = self._get("segment_count")
-        fill_k = self._get("segment_fill")
-        if count_k is None or fill_k is None:
-            return None
         values = np.asarray(values)
         if values.dtype != np.int64 or not values.flags.c_contiguous:
             return None
+        k = self._kernels
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         out = np.full((offsets.size - 1, m), NULL_VERTEX, dtype=np.int64)
         if m == 0:
             return out
-        try:
-            count = int(self._call(count_k, offsets))
-        except Exception as exc:
-            self._disable("segment_count", exc)
-            return None
+        count = int(k["segment_count"](offsets))
         if count == 0:
             return out
         r = rng.random(size=count * m)
-        try:
-            self._call(fill_k, values, offsets, m, r, out)
-        except Exception as exc:
-            self._disable("segment_fill", exc)
-            return _segment_from_draws(values, offsets, m, r)
+        k["segment_fill"](values, offsets, m, r, out)
         return out
 
     # -- node2vec rejection sampling -----------------------------------
@@ -340,13 +218,9 @@ class CompiledBackend(KernelBackend):
                            p, q, max_rounds, rng):
         """Returns ``(out, eligible, proposals, probes)`` or ``None``.
 
-        Draws through the PCG64 shim; the generator is advanced only
-        after the kernel succeeds, so a failure (or a non-PCG64
-        generator) falls back to the untouched numpy path.
+        Draws through the PCG64 shim; the generator is advanced after
+        the kernel returns, by the number of doubles it consumed.
         """
-        kernel = self._get("node2vec_fill")
-        if kernel is None:
-            return None
         if getattr(graph, "relabel_perm", None) is not None:
             # The compiled kernel binary-searches rows via indptr[v + 1]
             # and sorted-by-new-id neighbor lists — neither holds on a
@@ -377,15 +251,11 @@ class CompiledBackend(KernelBackend):
         envs = np.empty(n, dtype=np.float64)
         rbuf = np.empty(n, dtype=np.float64)
         counters = np.zeros(4, dtype=np.int64)
-        try:
-            self._call(kernel, graph.indptr, graph.indices, weights,
-                       is_weighted, graph.degrees_array, transits, prev,
-                       1, row_max, bias_env, p, 1.0 / q, max_rounds,
-                       NULL_VERTEX, s, out, pending, proposal, bias,
-                       envs, rbuf, counters)
-        except Exception as exc:
-            self._disable("node2vec_fill", exc)
-            return None
+        self._kernels["node2vec_fill"](
+            graph.indptr, graph.indices, weights, is_weighted,
+            graph.degrees_array, transits, prev, 1, row_max, bias_env, p,
+            1.0 / q, max_rounds, NULL_VERTEX, s, out, pending, proposal,
+            bias, envs, rbuf, counters)
         rngshim.consume(rng, int(counters[3]))
         return (out.reshape(n, 1), int(counters[0]), int(counters[1]),
                 int(counters[2]))
@@ -394,9 +264,6 @@ class CompiledBackend(KernelBackend):
 
     def grouping(self, vals):
         """Returns ``(order, unique, counts, offsets)`` or ``None``."""
-        kernel = self._get("grouping")
-        if kernel is None:
-            return None
         vals = np.ascontiguousarray(vals, dtype=np.int64)
         if vals.size == 0:
             return None
@@ -407,11 +274,7 @@ class CompiledBackend(KernelBackend):
         hist = np.zeros(span, dtype=np.int64)
         cursor = np.empty(span, dtype=np.int64)
         order = np.empty(vals.size, dtype=np.int64)
-        try:
-            self._call(kernel, vals, vmin, hist, cursor, order)
-        except Exception as exc:
-            self._disable("grouping", exc)
-            return None
+        self._kernels["grouping"](vals, vmin, hist, cursor, order)
         nz = np.nonzero(hist)[0]
         unique = nz + vmin
         counts = hist[nz]
@@ -422,9 +285,6 @@ class CompiledBackend(KernelBackend):
     # -- collective gather + dedupe ------------------------------------
 
     def ragged_gather(self, values, starts, counts, offsets, total):
-        kernel = self._get("ragged_gather")
-        if kernel is None:
-            return None
         values = np.asarray(values)
         if (values.dtype not in (np.int64, np.float64)
                 or not values.flags.c_contiguous):
@@ -433,34 +293,21 @@ class CompiledBackend(KernelBackend):
         counts = np.ascontiguousarray(counts, dtype=np.int64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         out = np.empty(int(total), dtype=values.dtype)
-        try:
-            self._call(kernel, values, starts, counts, offsets, out)
-        except Exception as exc:
-            self._disable("ragged_gather", exc)
-            return None
+        self._kernels["ragged_gather"](values, starts, counts, offsets,
+                                       out)
         return out
 
     def dedupe_rows(self, rows):
         """Returns ``(deduped_copy, dup_count)`` or ``None``."""
-        kernel = self._get("dedupe_rows")
-        if kernel is None:
-            return None
         rows = np.asarray(rows)
         if rows.dtype != np.int64 or rows.ndim != 2:
             return None
         out = rows.copy()
-        try:
-            dups = int(self._call(kernel, out, NULL_VERTEX))
-        except Exception as exc:
-            self._disable("dedupe_rows", exc)
-            return None
+        dups = int(self._kernels["dedupe_rows"](out, NULL_VERTEX))
         return out, dups
 
     def scatter_rows(self, out, sampled, sample_ids, cols, m):
         """Writes in place; returns ``True`` or ``None`` (fallback)."""
-        kernel = self._get("scatter_rows")
-        if kernel is None:
-            return None
         if (out.dtype != np.int64 or sampled.dtype != np.int64
                 or sample_ids.dtype != np.int64
                 or cols.dtype != np.int64
@@ -472,97 +319,9 @@ class CompiledBackend(KernelBackend):
                         and sample_ids.flags.c_contiguous
                         and cols.flags.c_contiguous)):
             return None
-        try:
-            self._call(kernel, sampled, sample_ids, cols, int(m), out)
-        except Exception as exc:
-            self._disable("scatter_rows", exc)
-            return None
+        self._kernels["scatter_rows"](sampled, sample_ids, cols, int(m),
+                                      out)
         return True
-
-    # -- warm-up --------------------------------------------------------
-
-    def warm_up(self) -> None:
-        """Run every hook once on a tiny graph with production array
-        types, so numba compiles (and the C library builds) before the
-        first real chunk.  Kernel failures are captured per kernel."""
-        if self._warmed:
-            return
-        self._warmed = True
-        from repro.graph.csr import CSRGraph
-        g = CSRGraph.from_edges(
-            4, [(0, 1), (0, 2), (1, 0), (2, 1), (2, 3)], name="warmup")
-        gw = g.with_random_weights(seed=0)
-        rng = np.random.default_rng(0)
-        transits = np.array([0, 1, -1, 3, 2], dtype=np.int64)
-        prev = np.array([1, 0, -1, -1, 0], dtype=np.int64)
-        self.uniform_neighbors(g, transits, 2, rng)
-        self.weighted_neighbors(gw, transits, 2, rng)
-        self.segment_choice(g.indices.copy(),
-                            np.array([0, 2, 2, 5], dtype=np.int64), 2,
-                            rng)
-        self.node2vec_neighbors(g, transits, prev, 2.0, 0.5, 4, rng)
-        self.node2vec_neighbors(gw, transits, prev, 2.0, 0.5, 4, rng)
-        self.grouping(np.array([3, 1, 3, 0, 1], dtype=np.int64))
-        starts = np.array([0, 2], dtype=np.int64)
-        counts = np.array([2, 3], dtype=np.int64)
-        offs = np.array([0, 2], dtype=np.int64)
-        self.ragged_gather(g.indices, starts, counts, offs, 5)
-        self.ragged_gather(gw.weights, starts, counts, offs, 5)
-        self.dedupe_rows(np.array([[1, 1, 2], [0, 3, 0]],
-                                  dtype=np.int64))
-        self.scatter_rows(np.full((3, 4), -1, dtype=np.int64),
-                          np.array([[5, 6], [7, 8]], dtype=np.int64),
-                          np.array([0, 2], dtype=np.int64),
-                          np.array([1, 0], dtype=np.int64), 2)
-        kernel = self._get("pcg_fill")
-        if kernel is not None:
-            try:
-                self._call(kernel,
-                           np.array([1, 2, 3, 5], dtype=np.uint64),
-                           np.empty(4, dtype=np.float64))
-            except Exception as exc:
-                self._disable("pcg_fill", exc)
-
-
-class NumbaBackend(CompiledBackend):
-    """kernels_py compiled with njit, or interpreted without numba."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        super().__init__()
-        from repro.native import jit, kernels_py
-        self._jit = jit
-        self._bodies = kernels_py.kernel_table()
-        self._suppress_overflow = not jit.HAVE_NUMBA
-
-    def _build(self, name: str):
-        return self._jit.compile_kernel(self._bodies[name])
-
-
-class CNativeBackend(CompiledBackend):
-    """kernels compiled from embedded C via the host toolchain."""
-
-    name = "cnative"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lib = None
-
-    def available(self) -> bool:
-        from repro.native import cnative
-        return cnative.toolchain_available()
-
-    def _build(self, name: str):
-        from repro.native import cnative
-        if self._lib is None:
-            self._lib = cnative.load_library()
-        return cnative.bind(self._lib, name)
-
-    def _disable(self, name, exc):
-        # A library build failure takes every kernel down at once;
-        # record each name as it is first requested.
-        super()._disable(name, exc)
 
 
 # -- selection ----------------------------------------------------------
@@ -586,18 +345,20 @@ def resolve_backend_name(explicit: Optional[str] = None) -> str:
 
 
 def _resolve_auto() -> KernelBackend:
+    """cnative when its library builds, else numpy (warned once)."""
     global _AUTO_WARNED
-    from repro.native import jit
-    if jit.HAVE_NUMBA:
-        return NumbaBackend()
-    if not _AUTO_WARNED:
-        _AUTO_WARNED = True
-        warnings.warn(
-            "backend 'auto': numba is not installed; falling back to "
-            "the numpy backend (pip install .[native] for compiled "
-            "kernels, or --backend cnative to use the C toolchain)",
-            RuntimeWarning, stacklevel=4)
-    return NumpyBackend()
+    backend = CNativeBackend()
+    try:
+        backend.warm_up()
+        return backend
+    except RuntimeError as exc:
+        if not _AUTO_WARNED:
+            _AUTO_WARNED = True
+            warnings.warn(
+                f"backend 'auto': the cnative library is unavailable "
+                f"({exc}); falling back to the numpy backend",
+                RuntimeWarning, stacklevel=4)
+        return NumpyBackend()
 
 
 def _make(name: str) -> KernelBackend:
@@ -605,13 +366,15 @@ def _make(name: str) -> KernelBackend:
         return _resolve_auto()
     if name == "numpy":
         return NumpyBackend()
-    if name == "numba":
-        return NumbaBackend()
     return CNativeBackend()
 
 
 def set_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve, warm up, and activate a backend process-wide."""
+    """Resolve, warm up, and activate a backend process-wide.
+
+    Raises ``RuntimeError`` when an explicitly chosen compiled backend
+    cannot be built; the active backend and gauge are then unchanged.
+    """
     global _ACTIVE
     backend = _make(resolve_backend_name(name))
     backend.warm_up()
@@ -649,9 +412,8 @@ def backend_scope(name: Optional[str]) -> Iterator[KernelBackend]:
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Concrete backends that can run on this host (numba counts even
-    without the compiler: it runs interpreted, bit-identically)."""
-    names = ["numpy", "numba"]
+    """Concrete backends that can run on this host."""
+    names = ["numpy"]
     if CNativeBackend().available():
         names.append("cnative")
     return tuple(names)

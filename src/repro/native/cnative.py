@@ -1,11 +1,11 @@
 """Build + ctypes bindings for the embedded C kernels.
 
 The shared library is compiled once per (source hash, platform) into a
-cache directory and memoised per process; :func:`bind` adapts each C
-symbol to the exact Python-level signature of the corresponding
-:mod:`repro.native.kernels_py` kernel, so
-:class:`~repro.native.backend.CompiledBackend` orchestrates both
-backends identically.
+cache directory and memoised per process; :func:`load_kernels` binds
+every C symbol to a Python callable whose arrays carry their own
+shapes, for :class:`~repro.native.backend.CNativeBackend` to call.
+Every failure on the way — no compiler, a failed compile, a library
+that won't load, a missing symbol — raises ``RuntimeError``.
 
 ``-ffp-contract=off`` matters: FMA contraction of ``base + r * total``
 would round differently from numpy and break bitwise parity.
@@ -20,16 +20,22 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-__all__ = ["toolchain_available", "find_compiler", "library_path",
-           "build_library", "load_library", "bind"]
+__all__ = ["KERNELS", "toolchain_available", "find_compiler",
+           "library_path", "build_library", "load_library", "bind",
+           "load_kernels"]
 
 _CFLAGS = ["-std=c11", "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 _lib_cache: Optional[ctypes.CDLL] = None
+
+#: Every kernel :func:`bind` knows, bound together by :func:`load_kernels`.
+KERNELS = ("pcg_fill", "uniform_count", "uniform_fill", "weighted_fill",
+           "segment_count", "segment_fill", "node2vec_fill", "grouping",
+           "ragged_gather", "scatter_rows", "dedupe_rows")
 
 
 def find_compiler() -> Optional[str]:
@@ -69,15 +75,18 @@ def build_library() -> str:
         return path
     cc = find_compiler()
     if cc is None:
-        raise RuntimeError("no C compiler on PATH (cc/gcc/clang)")
+        raise RuntimeError("no C compiler on PATH (cc/gcc/clang or $CC)")
     from repro.native._csrc import SOURCE
     workdir = os.path.dirname(path)
     src = os.path.join(workdir, os.path.basename(path) + ".c")
     with open(src, "w") as fh:
         fh.write(SOURCE)
     tmp = path + f".tmp{os.getpid()}"
-    proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, src],
-                          capture_output=True, text=True)
+    try:
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, src],
+                              capture_output=True, text=True)
+    except OSError as exc:
+        raise RuntimeError(f"could not run {cc}: {exc}") from exc
     if proc.returncode != 0:
         raise RuntimeError(
             f"{cc} failed ({proc.returncode}): {proc.stderr.strip()}")
@@ -88,7 +97,11 @@ def build_library() -> str:
 def load_library() -> ctypes.CDLL:
     global _lib_cache
     if _lib_cache is None:
-        _lib_cache = ctypes.CDLL(build_library())
+        path = build_library()
+        try:
+            _lib_cache = ctypes.CDLL(path)
+        except OSError as exc:
+            raise RuntimeError(f"could not load {path}: {exc}") from exc
     return _lib_cache
 
 
@@ -127,15 +140,17 @@ _SIGNATURES = {
 
 
 def _sym(lib: ctypes.CDLL, symbol: str):
-    f = getattr(lib, symbol)
+    try:
+        f = getattr(lib, symbol)
+    except AttributeError as exc:
+        raise RuntimeError(f"kernel library lacks {symbol}") from exc
     f.restype, f.argtypes = _SIGNATURES[symbol]
     return f
 
 
 def bind(lib: ctypes.CDLL, name: str):
-    """A Python callable for kernel ``name`` matching the kernels_py
-    signature (arrays carry their own shapes; the wrapper forwards
-    explicit lengths to C)."""
+    """A Python callable for kernel ``name`` (arrays carry their own
+    shapes; the wrapper forwards explicit lengths to C)."""
     if name == "pcg_fill":
         f = _sym(lib, "repro_pcg_fill")
 
@@ -245,3 +260,10 @@ def bind(lib: ctypes.CDLL, name: str):
         return dedupe_rows
 
     raise KeyError(f"unknown kernel {name!r}")
+
+
+def load_kernels() -> Dict[str, Callable]:
+    """Build (or reuse) the library and bind every :data:`KERNELS`
+    entry; ``RuntimeError`` on any failure."""
+    lib = load_library()
+    return {name: bind(lib, name) for name in KERNELS}

@@ -1,9 +1,9 @@
-"""PCG64 draw shim: the compiled backends' counter-compatible RNG.
+"""PCG64 draw shim: the C backend's counter-compatible RNG.
 
 The runtime's RNG plan (:mod:`repro.runtime.rngplan`) hands every chunk
 a ``np.random.Generator`` backed by the PCG64 bit generator, and the
 numpy kernels consume it exclusively through ``rng.random(size=...)``
-— one 64-bit raw output per double.  Compiled kernels that must draw
+— one 64-bit raw output per double.  C kernels that must draw
 *data-dependent* amounts of randomness (node2vec's rejection loop)
 cannot pre-draw from numpy, so they reproduce the raw PCG64 stream
 themselves:

@@ -65,8 +65,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     # Checkpointing.
     "checkpoint_save": ("chunk_id",),
     "checkpoint_load": ("chunk_id",),
-    # Kernel backends.
-    "backend_fallback": ("kernel", "backend", "error"),
     # Autotuner.
     "tune_trial": ("app", "graph", "config", "wall_s", "model_s"),
     # Deterministic fault injection (parent-side trips only; worker-side

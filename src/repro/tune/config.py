@@ -44,7 +44,7 @@ class TuneConfig:
     values because the planner needs them unconditionally.
     """
 
-    #: Kernel backend (``numpy`` / ``numba`` / ``cnative`` / ``auto``)
+    #: Kernel backend (``numpy`` / ``cnative`` / ``auto``)
     #: or None to keep the session's resolved backend.
     backend: Optional[str] = None
     #: RNG-plan chunk size in transit pairs (None = runtime default).

@@ -1,7 +1,7 @@
 """Native-backend parity suite: compiled kernels vs the numpy backend.
 
-Two layers of evidence that a compiled backend (``numba``, ``cnative``)
-is a pure speedup:
+Two layers of evidence that the compiled backend (``cnative``) is a
+pure speedup:
 
 1. **Golden fixtures** — every committed golden snapshot (sample
    digests *and* modeled charges, pinned by the numpy implementation)
@@ -15,10 +15,6 @@ is a pure speedup:
    2`` and asserts the batch digest and modeled charges match the
    numpy backend at the same worker count (which PR 4's suites already
    tie to workers=0).
-
-The numba backend runs interpreted when numba isn't installed —
-bit-identical by construction of the kernels, so this suite still
-proves draw-order/parity logic on hosts without the JIT.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
-"""Backend selection, RNG shims, and graceful degradation."""
+"""Backend selection, RNG shims, and cnative build failures."""
 
-import os
 import warnings
 
 import numpy as np
@@ -11,8 +10,7 @@ from repro.native.backend import (
     BACKEND_ENV,
     BACKEND_IDS,
     BACKEND_NAMES,
-    CompiledBackend,
-    NumbaBackend,
+    CNativeBackend,
     NumpyBackend,
     available_backends,
     backend_scope,
@@ -23,6 +21,9 @@ from repro.obs import get_metrics
 
 COMPILED = [b for b in available_backends() if b != "numpy"]
 
+needs_cnative = pytest.mark.skipif(
+    "cnative" not in COMPILED, reason="no C toolchain on this host")
+
 
 def _make_backend(name):
     from repro.native import backend as mod
@@ -31,12 +32,12 @@ def _make_backend(name):
 
 class TestSelection:
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numba")
+        monkeypatch.setenv(BACKEND_ENV, "cnative")
         assert resolve_backend_name("numpy") == "numpy"
 
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numba")
-        assert resolve_backend_name(None) == "numba"
+        monkeypatch.setenv(BACKEND_ENV, "cnative")
+        assert resolve_backend_name(None) == "cnative"
 
     def test_default_is_numpy(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -47,58 +48,130 @@ class TestSelection:
         assert resolve_backend_name(None) == "numpy"
 
     def test_case_insensitive(self):
-        assert resolve_backend_name("NUMBA") == "numba"
+        assert resolve_backend_name("CNative") == "cnative"
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend_name("cuda")
 
+    def test_retired_numba_name_rejected(self, capsys):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend_name("numba")
+        from repro import cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--app", "k-hop", "--backend", "numba"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_every_name_resolvable(self):
         for name in BACKEND_NAMES:
             assert resolve_backend_name(name) == name
 
+    @needs_cnative
     def test_backend_scope_restores(self):
         from repro.native.backend import active_backend_name
         before = active_backend_name()
-        with backend_scope("numba") as b:
-            assert b.name == "numba"
+        with backend_scope("cnative") as b:
+            assert b.name == "cnative"
             from repro.native.backend import active_backend
             assert active_backend() is b
         assert active_backend_name() == before
 
+    @needs_cnative
     def test_set_backend_exports_gauge(self):
-        with backend_scope("numba"):
+        with backend_scope("cnative"):
             gauge = get_metrics().gauge("runtime.backend_active")
-            assert gauge.value == float(BACKEND_IDS["numba"])
+            assert gauge.value == float(BACKEND_IDS["cnative"])
+
+    def test_backend_ids_keep_historical_values(self):
+        assert BACKEND_IDS == {"numpy": 0, "cnative": 2}
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A host with no C compiler and a cold kernel-library cache."""
+    from repro.native import backend as mod, cnative
+    monkeypatch.setattr(cnative, "find_compiler", lambda: None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(cnative, "_lib_cache", None)
+    monkeypatch.setattr(mod, "_AUTO_WARNED", False)
+    monkeypatch.setattr(mod, "_ACTIVE", None)
+
+
+def _auto_warnings(caught):
+    return [w for w in caught if "backend 'auto'" in str(w.message)]
 
 
 class TestAutoFallback:
-    def test_auto_without_numba_warns_once(self, monkeypatch):
-        from repro.native import backend as mod, jit
-        if jit.HAVE_NUMBA:
-            pytest.skip("numba installed; auto resolves to numba")
-        monkeypatch.setattr(mod, "_AUTO_WARNED", False)
+    def test_auto_without_compiler_warns_once(self, no_compiler):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            first = mod._resolve_auto()
-            second = mod._resolve_auto()
+            first = set_backend("auto")
+            second = set_backend("auto")
         assert isinstance(first, NumpyBackend)
         assert isinstance(second, NumpyBackend)
-        relevant = [w for w in caught
-                    if "numba is not installed" in str(w.message)]
+        relevant = _auto_warnings(caught)
         assert len(relevant) == 1
+        assert "no C compiler" in str(relevant[0].message)
 
-    def test_auto_with_numba_selects_numba(self):
-        from repro.native import jit
-        if not jit.HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        from repro.native import backend as mod
-        assert isinstance(mod._resolve_auto(), NumbaBackend)
+    @needs_cnative
+    def test_auto_with_compiler_selects_cnative(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with backend_scope("auto") as b:
+                assert isinstance(b, CNativeBackend)
+        assert not _auto_warnings(caught)
+
+
+class TestBuildFailure:
+    """An explicit cnative that cannot build fails loudly at selection,
+    before any draw, instead of silently running numpy."""
+
+    def test_set_backend_raises_without_compiler(self, no_compiler):
+        gauge = get_metrics().gauge("runtime.backend_active")
+        gauge.set(float(BACKEND_IDS["numpy"]))
+        with pytest.raises(RuntimeError, match="no C compiler"):
+            set_backend("cnative")
+        assert gauge.value == float(BACKEND_IDS["numpy"])
+        assert available_backends() == ("numpy",)
+
+    def test_cli_exits_2_without_compiler(self, no_compiler):
+        import io
+        from repro import cli
+        out = io.StringIO()
+        code = cli.main(["sample", "--app", "k-hop", "--graph", "ppi",
+                         "--backend", "cnative"], out=out)
+        assert code == 2
+        assert ("backend 'cnative' unavailable: no C compiler"
+                in out.getvalue())
+
+    def test_cli_auto_runs_numpy_without_compiler(self, no_compiler):
+        import io
+        from repro import cli
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["sample", "--app", "k-hop", "--graph",
+                             "ppi", "--samples", "64", "--backend",
+                             "auto"], out=io.StringIO())
+        assert code == 0
+        assert len(_auto_warnings(caught)) == 1
+
+    def test_failed_compile_raises(self, monkeypatch, no_compiler):
+        from repro.native import cnative
+        monkeypatch.setattr(cnative, "find_compiler", lambda: "false")
+        with pytest.raises(RuntimeError, match="false failed"):
+            set_backend("cnative")
+
+    @needs_cnative
+    def test_missing_symbol_raises(self):
+        from repro.native import cnative
+        with pytest.raises(RuntimeError, match="lacks repro_missing"):
+            cnative._sym(cnative.load_library(), "repro_missing")
 
 
 class TestRngShim:
-    """The C/numba node2vec kernels re-derive numpy's PCG64 stream;
-    these pin the reference implementation the kernels mirror."""
+    """The C node2vec kernel re-derives numpy's PCG64 stream; these pin
+    the reference implementation the kernel mirrors."""
 
     def test_ref_doubles_match_numpy(self):
         rng = np.random.default_rng(1234)
@@ -133,14 +206,18 @@ class TestRngShim:
         if rng.bit_generator.state.get("has_uint32"):
             assert rngshim.raw_state(rng) is None
 
+    @needs_cnative
     def test_pcg_fill_kernel_matches_numpy(self):
-        from repro.native.kernels_py import pcg_fill
+        from repro.native import cnative
+        pcg_fill = cnative.load_kernels()["pcg_fill"]
         rng = np.random.default_rng(99)
         words = rngshim.state_words(rng).copy()
         out = np.empty(32, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            pcg_fill(words, out)
+        pcg_fill(words, out)
         assert np.array_equal(out, rng.random(32))
+        # The kernel leaves its state words where numpy's stream is.
+        state, _ = rngshim.raw_state(rng)
+        assert int(words[0]) << 64 | int(words[1]) == state
 
 
 class TestGeneratorForCache:
@@ -176,57 +253,6 @@ class TestGeneratorForCache:
                               ss.generate_state(6, np.uint64))
 
 
-class _OneBadKernel(NumbaBackend):
-    """numba backend whose grouping kernel always fails to build."""
-
-    def _build(self, name):
-        if name == "grouping":
-            raise RuntimeError("synthetic compile failure")
-        return super()._build(name)
-
-
-class TestGracefulDegradation:
-    def test_failed_kernel_falls_back_and_counts(self):
-        counter = get_metrics().counter("native.compile_failures")
-        before = counter.value
-        backend = _OneBadKernel()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert backend.grouping(
-                np.array([2, 0, 2, 1], dtype=np.int64)) is None
-            # Second call: already disabled, no second warning/count.
-            assert backend.grouping(
-                np.array([1, 1], dtype=np.int64)) is None
-        disabled = [w for w in caught if "disabled" in str(w.message)]
-        assert len(disabled) == 1
-        assert counter.value == before + 1
-
-    def test_other_kernels_stay_alive(self):
-        backend = _OneBadKernel()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            backend.warm_up()
-        rows = np.array([[1, 1, 2], [3, 4, 3]], dtype=np.int64)
-        got = backend.dedupe_rows(rows)
-        assert got is not None
-        deduped, dups = got
-        assert dups == 2
-        assert "grouping" in backend._failed
-        assert "dedupe_rows" not in backend._failed
-
-    def test_disable_direct_is_idempotent(self):
-        counter = get_metrics().counter("native.compile_failures")
-        backend = NumbaBackend()
-        before = counter.value
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            backend._disable("uniform_fill", ValueError("x"))
-            backend._disable("uniform_fill", ValueError("x"))
-        assert counter.value == before + 1
-        assert backend.uniform_neighbors(
-            None, np.array([0], dtype=np.int64), 1, None) is None
-
-
 @pytest.mark.parametrize("backend_name", COMPILED)
 class TestKernelMicroParity:
     """Hook-level parity on tiny inputs, per compiled backend."""
@@ -234,16 +260,13 @@ class TestKernelMicroParity:
     @pytest.fixture
     def backend(self, backend_name):
         b = _make_backend(backend_name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            b.warm_up()
-        assert not b._failed, b._failed
+        b.warm_up()
         return b
 
     def test_warm_up_idempotent(self, backend):
-        table_after_first = dict(backend._table)
+        table_after_first = dict(backend._kernels)
         backend.warm_up()
-        assert backend._table == table_after_first
+        assert backend._kernels == table_after_first
 
     def test_grouping_matches_argsort(self, backend):
         vals = np.array([5, 2, 5, 9, 2, 2, 7], dtype=np.int64)
@@ -332,11 +355,9 @@ class TestKernelMicroParity:
         got_rng = np.random.default_rng(8)
         got = backend.uniform_neighbors(g, transits, 3, got_rng)
         assert got is not None
-        from repro.native.backend import _uniform_from_draws, \
-            _eligible_indices
-        count = _eligible_indices(g, transits).size
-        ref = _uniform_from_draws(g, transits, 3,
-                                  ref_rng.random(count * 3))
+        from repro.api.apps import _kernels
+        with backend_scope("numpy"):
+            ref = _kernels.uniform_neighbors(g, transits, 3, ref_rng)
         assert np.array_equal(got, ref)
         # Both generators advanced identically.
         assert np.array_equal(got_rng.random(4), ref_rng.random(4))
@@ -349,11 +370,9 @@ class TestKernelMicroParity:
         got_rng = np.random.default_rng(8)
         got = backend.weighted_neighbors(g, transits, 2, got_rng)
         assert got is not None
-        from repro.native.backend import _weighted_from_draws, \
-            _eligible_indices
-        count = _eligible_indices(g, transits).size
-        ref = _weighted_from_draws(g, transits, 2,
-                                   ref_rng.random(2 * count))
+        from repro.api.apps import _kernels
+        with backend_scope("numpy"):
+            ref = _kernels.weighted_neighbors(g, transits, 2, ref_rng)
         assert np.array_equal(got, ref)
         assert np.array_equal(got_rng.random(4), ref_rng.random(4))
 
@@ -361,7 +380,6 @@ class TestKernelMicroParity:
 class TestCNativeToolchain:
     def test_toolchain_detection_consistent(self):
         from repro.native import cnative
-        from repro.native.backend import CNativeBackend
         assert CNativeBackend().available() \
             == cnative.toolchain_available()
 
@@ -376,11 +394,12 @@ class TestCNativeToolchain:
 
 
 class TestEnvSelectionEndToEnd:
+    @needs_cnative
     def test_env_var_drives_default_backend(self, monkeypatch):
         from repro.native import backend as mod
-        monkeypatch.setenv(BACKEND_ENV, "numba")
+        monkeypatch.setenv(BACKEND_ENV, "cnative")
         monkeypatch.setattr(mod, "_ACTIVE", None)
         try:
-            assert mod.active_backend().name == "numba"
+            assert mod.active_backend().name == "cnative"
         finally:
             mod._ACTIVE = None

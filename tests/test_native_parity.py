@@ -6,14 +6,12 @@ only*: every app, engine, and worker count must produce the identical
 compiled kernels consume the chunked RNG plan in exactly the numpy
 draw order.  This file pins that contract:
 
-* every differential app × {numba, cnative} × NextDoor (in-process)
+* every differential app × cnative × NextDoor (in-process)
 * a representative app subset × {SP, TP}
 * multi-chunk pooled runs at ``workers`` 1 and 2
 * the ``repro verify --suite native`` wiring
 
-The numba backend runs interpreted when numba isn't installed, which
-is bit-identical by construction — so the parity proofs hold on hosts
-with or without the JIT (CI runs both).
+Every case runs against cnative when the host has a C toolchain.
 """
 
 import dataclasses
