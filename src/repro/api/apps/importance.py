@@ -28,7 +28,6 @@ from repro.api.app import SamplingApp
 from repro.api.apps._kernels import rowwise_searchsorted
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import NULL_VERTEX, SamplingType, StepInfo
-from repro.core.ragged import ragged_gather
 from repro.graph.csr import CSRGraph
 
 __all__ = ["FastGCN", "LADIES"]
@@ -135,40 +134,21 @@ class FastGCN(SamplingApp):
         """Record edges between each transit and each new vertex when
         they exist in the graph (the sample's layer adjacency).
 
-        Probes are built only for live (transit, new-vertex) pairs of
-        the *same sample* — a ragged cross product assembled with
-        repeat/gather arithmetic instead of the dense ``S * T * V``
-        repeat/tile round trip — and answered in one
-        :meth:`~repro.graph.csr.CSRGraph.has_edges` batch (an O(1)
-        bitmap gather on graphs small enough to cache one).  Probe
-        order is (sample, transit-column, new-column) C-order, the same
-        enumeration the dense product produced, so the emitted edge
-        rows are identical.
+        One :meth:`~repro.graph.csr.CSRGraph.has_edges_block` probe
+        tests every sample's transits against its own new vertices (a
+        broadcast bitmap gather on graphs small enough to cache one;
+        NULL slots test False).  Edge rows are emitted in (sample,
+        transit-column, new-column) C-order, duplicates included.
         """
-        num_samples = transits.shape[0]
-        t_width = transits.shape[1]
-        empty = np.zeros((0, 3), dtype=np.int64)
-        flat_t = transits.ravel()
-        pair_idx = np.nonzero(flat_t != NULL_VERTEX)[0]
-        t_of_pair = flat_t[pair_idx]
-        s_of_pair = pair_idx // t_width
-        ns, nj = np.nonzero(new_vertices != NULL_VERTEX)
-        if t_of_pair.size == 0 or ns.size == 0:
-            return empty
-        # Each sample's live new vertices, grouped (np.nonzero walks
-        # row-major, so groups are contiguous and column-ascending).
-        new_vals = new_vertices[ns, nj]
-        nv_counts = np.bincount(ns, minlength=num_samples)
-        nv_offsets = np.zeros(num_samples + 1, dtype=np.int64)
-        np.cumsum(nv_counts, out=nv_offsets[1:])
-        # Cross every live transit pair with its sample's group.
-        reps = nv_counts[s_of_pair]
-        v_probe, _ = ragged_gather(new_vals, nv_offsets[s_of_pair], reps)
-        t_probe = np.repeat(t_of_pair, reps)
-        s_probe = np.repeat(s_of_pair, reps)
-        exists = graph.has_edges(t_probe, v_probe)
-        return np.stack([s_probe[exists], t_probe[exists],
-                         v_probe[exists]], axis=1)
+        block = graph.has_edges_block(transits, new_vertices)
+        per_transit = np.count_nonzero(block, axis=2)
+        edges = np.empty((int(per_transit.sum()), 3), dtype=np.int64)
+        edges[:, 0] = np.repeat(np.arange(transits.shape[0]),
+                                per_transit.sum(axis=1))
+        edges[:, 1] = np.repeat(transits.ravel(), per_transit.ravel())
+        edges[:, 2] = np.broadcast_to(new_vertices[:, None, :],
+                                      block.shape)[block]
+        return edges
 
 
 class LADIES(FastGCN):

@@ -205,82 +205,153 @@ class CSRGraph:
         return float(w.max()) if w.size else 0.0
 
     def has_edge(self, u: int, v: int) -> bool:
-        """True iff the directed edge ``(u, v)`` exists (binary search)."""
-        row = self.neighbors(u)
-        pos = np.searchsorted(row, v)
-        return bool(pos < row.size and row[pos] == v)
+        """True iff the directed edge ``(u, v)`` exists (binary search).
+        Ids outside ``[0, num_vertices)`` (e.g. ``NULL_VERTEX``) have no
+        edges."""
+        n = self.num_vertices
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        row = self._canonical_ids(self.neighbors(u))  # sorted ascending
+        cv = self._canonical_ids(v)
+        pos = np.searchsorted(row, cv)
+        return bool(pos < row.size and row[pos] == cv)
+
+    # ------------------------------------------------------------------
+    # Edge membership
+    # ------------------------------------------------------------------
+
+    def _canonical_ids(self, ids):
+        """Map in-range vertex ids into the id space edge membership is
+        keyed in.  The identity here; a relabeled graph maps through
+        its inverse permutation, so one probe body serves both."""
+        return ids
+
+    def _canonical_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Canonical ``(src, dst)`` ids of every stored edge.
+
+        Edges are stored in canonical row order with each row sorted,
+        so the pairs come out sorted by ``(src, dst)``.
+        """
+        n = self.num_vertices
+        degrees = np.empty(n, dtype=np.int64)
+        degrees[self._canonical_ids(np.arange(n, dtype=np.int64))] = \
+            self.degrees_array
+        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        return src, self._canonical_ids(self.indices)
 
     def _edge_keys(self) -> np.ndarray:
         """Globally sorted ``src * n + dst`` keys for every edge.
 
-        Rows are contiguous and sorted, so the composite key array is
-        globally sorted; one vectorised ``searchsorted`` then answers
-        arbitrary batches of edge-existence queries.  Cached lazily
-        (8 bytes per edge).
+        One vectorised ``searchsorted`` over them answers arbitrary
+        batches of edge-existence queries on graphs too large for the
+        bitmap.  Cached lazily (8 bytes per edge).
         """
         if getattr(self, "_edge_key_cache", None) is None:
-            row_of_edge = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64),
-                self.degrees_array)
-            self._edge_key_cache = row_of_edge * self.num_vertices + self.indices
+            src, dst = self._canonical_edges()
+            self._edge_key_cache = src * self.num_vertices + dst
         return self._edge_key_cache
 
     #: Adjacency bitmaps above this size fall back to binary search
     #: (64 MiB packed = graphs up to ~23k vertices).
     _BITMAP_MAX_BYTES = 1 << 26
 
-    def _edge_bitmap(self) -> Optional[np.ndarray]:
-        """Packed V*V adjacency bitmap (1 bit per vertex pair), or
-        ``None`` for graphs too large to afford one.
+    def _bitmap_stride(self) -> int:
+        """Bytes per adjacency-bitmap row: ``ceil(n / 8)``."""
+        return (self.num_vertices + 7) // 8
 
-        Turns batched edge-existence probes into O(1) gathers instead
-        of O(log E) binary searches — the GPU analogue is a bitmap in
-        device memory answering warp-wide membership tests.  Built
-        lazily, cached (V^2 / 8 bytes).
+    def _edge_bitmap(self) -> Optional[np.ndarray]:
+        """Row-strided adjacency bitmap, or ``None`` for graphs too
+        large to afford one.
+
+        Bit ``(u, v)`` lives at byte ``u * stride + (v >> 3)``, bit
+        ``v & 7``, with ``stride = ceil(n / 8)`` — so a block of probes
+        needs one row offset per source and one byte offset and mask
+        per destination.  Row ``n`` is all zeros: out-of-range sources
+        are pointed at it.  Turns batched edge-existence probes into
+        O(1) gathers instead of O(log E) binary searches — the GPU
+        analogue is a bitmap in device memory answering warp-wide
+        membership tests.  Built lazily, cached (~V^2 / 8 bytes).
         """
         cached = getattr(self, "_edge_bitmap_cache", False)
         if cached is not False:
             return cached
         n = self.num_vertices
-        nbits = n * n
-        if nbits > self._BITMAP_MAX_BYTES * 8:
+        stride = self._bitmap_stride()
+        if (n + 1) * stride > self._BITMAP_MAX_BYTES:
             self._edge_bitmap_cache = None
             return None
-        bitmap = np.zeros((nbits + 7) // 8, dtype=np.uint8)
-        keys = self._edge_keys()
-        np.bitwise_or.at(bitmap, keys >> 3,
-                         np.left_shift(1, keys & 7).astype(np.uint8))
+        bitmap = np.zeros((n + 1) * stride, dtype=np.uint8)
+        src, dst = self._canonical_edges()
+        if src.size:
+            # Edges are sorted, so byte indices never decrease: OR each
+            # run of equal bytes together in one reduceat.
+            byte = src * stride + (dst >> 3)
+            bits = np.left_shift(1, dst & 7).astype(np.uint8)
+            starts = np.flatnonzero(np.concatenate(
+                ([True], byte[1:] != byte[:-1])))
+            bitmap[byte[starts]] = np.bitwise_or.reduceat(bits, starts)
         self._edge_bitmap_cache = bitmap
         return bitmap
+
+    def _probe(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Edge existence for broadcast-compatible id arrays ``u``,
+        ``v``; ids outside ``[0, n)`` give False."""
+        n = self.num_vertices
+        u_ok = (u >= 0) & (u < n)
+        v_ok = (v >= 0) & (v < n)
+        cu = self._canonical_ids(np.where(u_ok, u, 0))
+        cv = self._canonical_ids(np.where(v_ok, v, 0))
+        bitmap = self._edge_bitmap()
+        if bitmap is not None:
+            row = np.where(u_ok, cu, n) * self._bitmap_stride()
+            mask = np.where(v_ok, np.left_shift(1, cv & 7), 0
+                            ).astype(np.uint8)
+            return (bitmap[row + (cv >> 3)] & mask) != 0
+        keys = self._edge_keys()
+        query = cu * np.int64(n) + cv
+        if keys.size == 0:
+            return np.zeros(query.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        return (keys[pos] == query) & u_ok & v_ok
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`has_edge` for aligned arrays ``u``, ``v``.
 
-        This is the hot primitive of node2vec and the importance
-        samplers' layer-adjacency recording: for each candidate
-        neighbor ``v[i]``, test membership in the adjacency list of
-        ``u[i]``.  Served from the packed adjacency bitmap when the
-        graph is small enough to hold one, else by binary search over
-        the sorted composite edge keys.
+        This is the hot primitive of node2vec's rejection test: for
+        each candidate neighbor ``v[i]``, test membership in the
+        adjacency list of ``u[i]``.  Served from the row-strided
+        adjacency bitmap when the graph is small enough to hold one,
+        else by binary search over the sorted composite edge keys.
+        Ids outside ``[0, num_vertices)`` (e.g. ``NULL_VERTEX``) give
+        False.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:
             raise ValueError("u and v must have the same shape")
         if u.size == 0:
-            return np.zeros(0, dtype=bool)
-        query = u * np.int64(self.num_vertices) + v
-        bitmap = self._edge_bitmap()
-        if bitmap is not None:
-            return (bitmap[query >> 3] >> (query & 7).astype(np.uint8)
-                    ) & 1 > 0
-        keys = self._edge_keys()
-        pos = np.searchsorted(keys, query)
-        found = np.zeros(u.shape, dtype=bool)
-        in_range = pos < keys.size
-        idx = np.nonzero(in_range)
-        found[idx] = keys[pos[idx]] == query[idx]
-        return found
+            return np.zeros(u.shape, dtype=bool)
+        return self._probe(u, v)
+
+    def has_edges_block(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-row cross-product edge test: ``u`` of shape ``(S, T)``,
+        ``v`` of shape ``(S, V)``; returns a ``(S, T, V)`` bool array
+        with ``[s, i, j] = edge(u[s, i], v[s, j])``.
+
+        The importance samplers' layer-adjacency recording: each
+        sample's transits against the vertices it just drew.  On the
+        bitmap path it costs one row offset per ``(s, i)``, one byte
+        offset and mask per ``(s, j)``, then a single broadcast gather
+        and AND.  Ids outside ``[0, num_vertices)`` give False.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if u.ndim != 2 or v.ndim != 2 or u.shape[0] != v.shape[0]:
+            raise ValueError("u and v must be 2-D with the same row count")
+        if u.size == 0 or v.size == 0:
+            return np.zeros((u.shape[0], u.shape[1], v.shape[1]),
+                            dtype=bool)
+        return self._probe(u[:, :, None], v[:, None, :])
 
     # ------------------------------------------------------------------
     # Weighted-sampling support

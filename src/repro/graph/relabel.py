@@ -132,8 +132,8 @@ class RelabeledCSRGraph(CSRGraph):
         return self._non_isolated_cache
 
     # ------------------------------------------------------------------
-    # Original-layout reconstruction (lazy; used by edge membership and
-    # the weighted caches that need monotone offsets)
+    # Original-layout reconstruction (lazy; used by the weighted caches
+    # that need monotone offsets)
     # ------------------------------------------------------------------
 
     def _orig_degrees(self) -> np.ndarray:
@@ -159,46 +159,11 @@ class RelabeledCSRGraph(CSRGraph):
     # Edge membership — canonical key space
     # ------------------------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.canonical_of[self.neighbors(u)]  # sorted ascending
-        cv = self.canonical_of[v]
-        pos = np.searchsorted(row, cv)
-        return bool(pos < row.size and row[pos] == cv)
-
-    def _edge_keys(self) -> np.ndarray:
-        """Globally sorted ``canonical_src * n + canonical_dst`` keys —
-        identical to the original graph's key array, because the edge
-        storage order is the original one."""
-        if getattr(self, "_edge_key_cache", None) is None:
-            row_of_edge = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64),
-                self._orig_degrees())
-            self._edge_key_cache = (row_of_edge * self.num_vertices
-                                    + self.canonical_of[self.indices])
-        return self._edge_key_cache
-
-    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape:
-            raise ValueError("u and v must have the same shape")
-        if u.size == 0:
-            return np.zeros(0, dtype=bool)
-        # Same bitmap / sorted-key machinery as the base class, with the
-        # query mapped into canonical key space first.
-        query = (self.canonical_of[u] * np.int64(self.num_vertices)
-                 + self.canonical_of[v])
-        bitmap = self._edge_bitmap()
-        if bitmap is not None:
-            return (bitmap[query >> 3] >> (query & 7).astype(np.uint8)
-                    ) & 1 > 0
-        keys = self._edge_keys()
-        pos = np.searchsorted(keys, query)
-        found = np.zeros(u.shape, dtype=bool)
-        in_range = pos < keys.size
-        idx = np.nonzero(in_range)
-        found[idx] = keys[pos[idx]] == query[idx]
-        return found
+    def _canonical_ids(self, ids):
+        """New ids -> original ids: the base class's edge keys, bitmap
+        and probes then run in canonical key space, identical to the
+        original graph's (the edge storage order is the original one)."""
+        return self.canonical_of[ids]
 
     # ------------------------------------------------------------------
     # Weighted-sampling caches.  The edge layout is the original one, so

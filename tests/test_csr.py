@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api.types import NULL_VERTEX
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import rmat_graph
+from repro.graph.relabel import relabel_graph
 
 
 class TestConstruction:
@@ -192,3 +195,118 @@ class TestTransforms:
 
     def test_equality_non_graph(self, tiny_graph):
         assert tiny_graph.__eq__(42) is NotImplemented
+
+
+def _null_alias_graph():
+    """8 vertices, so ``n * n % 8 == 0``: the only edges leave the last
+    vertex, whose bitmap row a wrapped ``-1`` source would alias."""
+    return CSRGraph(np.array([0, 1, 1, 1, 1, 1, 1, 1, 3]),
+                    np.array([1, 0, 3]))
+
+
+def _block_inputs(rng, n, s=9, t=4, v=7):
+    """(S, T) sources and (S, V) destinations with NULL padding, an
+    all-NULL row on each side, and duplicate ids within rows."""
+    u = rng.integers(0, n, size=(s, t))
+    w = rng.integers(0, n, size=(s, v))
+    u[rng.random(size=u.shape) < 0.2] = NULL_VERTEX
+    w[rng.random(size=w.shape) < 0.2] = NULL_VERTEX
+    u[0] = NULL_VERTEX
+    w[1] = NULL_VERTEX
+    u[2, 1] = u[2, 0]
+    w[3, 1:3] = w[3, 0]
+    return u, w
+
+
+def _flat_cross_product(graph, u, w):
+    s, t = u.shape
+    v = w.shape[1]
+    flat = graph.has_edges(np.repeat(u, v, axis=1).ravel(),
+                           np.tile(w, (1, t)).ravel())
+    return flat.reshape(s, t, v)
+
+
+class TestEdgeProbes:
+    """``has_edges`` / ``has_edges_block`` on both probe paths: the
+    row-strided bitmap and the sorted-key fallback."""
+
+    @pytest.fixture(params=["bitmap", "sorted_keys"])
+    def use_bitmap(self, request, monkeypatch):
+        if request.param == "sorted_keys":
+            monkeypatch.setattr(CSRGraph, "_BITMAP_MAX_BYTES", 0)
+        return request.param == "bitmap"
+
+    def test_null_source_does_not_alias_last_row(self, use_bitmap):
+        g = _null_alias_graph()
+        assert (g._edge_bitmap() is not None) == use_bitmap
+        assert g.has_edges([7, 7, 7], [0, 3, 1]).tolist() == \
+            [True, True, False]
+        assert g.has_edges([-1, -1, -1], [0, 3, 1]).tolist() == \
+            [False, False, False]
+        assert not g.has_edge(-1, 0)
+
+    def test_out_of_range_ids_are_false(self, use_bitmap):
+        g = _null_alias_graph()
+        u = np.array([7, 7, 8, 99, -5, 7])
+        v = np.array([-1, 8, 0, 3, 3, 99])
+        assert not g.has_edges(u, v).any()
+        assert not g.has_edges_block([[8, 99, -5]], [[0, 3, 1]]).any()
+        assert g.has_edges_block([[7]], [[-1, 8, 99, 0]]).tolist() == \
+            [[[False, False, False, True]]]
+        assert not g.has_edge(7, 8) and not g.has_edge(8, 0)
+
+    @pytest.mark.parametrize("relabeled", [False, True])
+    def test_block_matches_flat_cross_product(self, use_bitmap, relabeled,
+                                              rng):
+        g = rmat_graph(300, 2400, seed=2, name="probe")
+        if relabeled:
+            g = relabel_graph(g, "degree")
+        assert (g._edge_bitmap() is not None) == use_bitmap
+        u, w = _block_inputs(rng, g.num_vertices)
+        block = g.has_edges_block(u, w)
+        assert block.shape == (9, 4, 7) and block.dtype == bool
+        assert np.array_equal(block, _flat_cross_product(g, u, w))
+        assert not block[0].any() and not block[1].any()
+        assert block.any()
+
+    def test_relabeled_block_matches_plain(self, use_bitmap, rng):
+        plain = rmat_graph(300, 2400, seed=2, name="probe")
+        rel = relabel_graph(plain, "degree")
+        u = rng.integers(0, 300, size=(6, 5))
+        w = rng.integers(0, 300, size=(6, 3))
+        assert np.array_equal(
+            rel.has_edges_block(rel.perm[u], rel.perm[w]),
+            plain.has_edges_block(u, w))
+
+    def test_block_empty_and_shape_checks(self, use_bitmap, tiny_graph):
+        out = tiny_graph.has_edges_block(np.zeros((3, 0), dtype=np.int64),
+                                         np.zeros((3, 5), dtype=np.int64))
+        assert out.shape == (3, 0, 5)
+        with pytest.raises(ValueError):
+            tiny_graph.has_edges_block(np.zeros((3, 2)), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            tiny_graph.has_edges_block(np.zeros(3), np.zeros(3))
+
+
+class TestEdgeBitmap:
+    def test_row_strided_layout(self):
+        g = _null_alias_graph()
+        bitmap = g._edge_bitmap()
+        assert g._bitmap_stride() == 1
+        assert bitmap.size == (8 + 1) * 1  # plus the all-zero NULL row
+        assert bitmap[0] == 1 << 1
+        assert bitmap[7] == (1 << 0) | (1 << 3)
+        assert bitmap[8] == 0
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_reduceat_build_matches_ufunc_at(self, n):
+        g = rmat_graph(n, 5 * n, seed=n, name="bitmap")
+        stride = (n + 7) // 8
+        src = np.repeat(np.arange(n), g.degrees_array)
+        ref = np.zeros((n + 1) * stride, dtype=np.uint8)
+        np.bitwise_or.at(ref, src * stride + (g.indices >> 3),
+                         np.left_shift(1, g.indices & 7).astype(np.uint8))
+        assert np.array_equal(g._edge_bitmap(), ref)
+        # A relabeled graph keys its bitmap in canonical ids: the same
+        # bytes as the original graph's.
+        assert np.array_equal(relabel_graph(g, "degree")._edge_bitmap(), ref)

@@ -23,6 +23,8 @@ from repro.core.transit_map import (
     build_transit_map,
     build_transit_map_reference,
 )
+from repro.graph.generators import rmat_graph
+from repro.graph.relabel import relabel_graph
 
 # ---------------------------------------------------------------------------
 # Reference implementations (the pre-vectorisation code, verbatim).
@@ -207,6 +209,44 @@ class TestBitwiseIdentity:
         _patch_reference_paths(monkeypatch)
         ref = _run(factory, medium_graph, 50)
         _assert_batches_identical(fast, ref)
+
+
+# ---------------------------------------------------------------------------
+# Layer-edge recording: fast path vs reference on crafted inputs.
+# ---------------------------------------------------------------------------
+
+
+class TestRecordStepEdges:
+    """Whole runs rarely feed the edge recorder NULL slots or repeated
+    ids; these inputs do, on both probe paths and a relabeled graph."""
+
+    @pytest.mark.parametrize("use_bitmap", [True, False])
+    @pytest.mark.parametrize("relabeled", [False, True])
+    def test_matches_reference(self, rng, use_bitmap, relabeled):
+        graph = rmat_graph(96, 1500, seed=4, name="edges")
+        if relabeled:
+            graph = relabel_graph(graph, "degree")
+        if not use_bitmap:
+            graph._BITMAP_MAX_BYTES = 0
+        transits = _random_transits(rng, graph.num_vertices, (12, 5))
+        new = _random_transits(rng, graph.num_vertices, (12, 8))
+        transits[0] = NULL_VERTEX
+        new[1] = NULL_VERTEX
+        transits[2, 1:] = transits[2, 0]
+        new[3, 4:] = new[3, 0]
+        app = FastGCN()
+        fast = app.record_step_edges(graph, None, transits, new, 1)
+        ref = _reference_record_step_edges(app, graph, None, transits,
+                                           new, 1)
+        assert fast.dtype == np.int64 and fast.shape[1] == 3
+        assert len(fast) > 0
+        assert np.array_equal(fast, ref)
+
+    def test_all_null_records_nothing(self, medium_graph):
+        out = FastGCN().record_step_edges(
+            medium_graph, None, np.full((4, 3), NULL_VERTEX),
+            np.full((4, 6), NULL_VERTEX), 1)
+        assert out.shape == (0, 3) and out.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------

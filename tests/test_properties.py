@@ -77,6 +77,23 @@ class TestCSRProperties:
                           for uu, vv in zip(u, v)])
         assert np.array_equal(fast, naive)
 
+    @given(graphs(), st.integers(0, 2 ** 31), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_has_edges_block_matches_naive(self, g, seed, use_bitmap):
+        if not use_bitmap:
+            g._BITMAP_MAX_BYTES = 0  # sorted-key fallback
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(1, 5))
+        t, v = (int(x) for x in rng.integers(0, 6, size=2))
+        # -1 is NULL_VERTEX: padding slots never have edges.
+        u = rng.integers(-1, g.num_vertices, size=(s, t))
+        w = rng.integers(-1, g.num_vertices, size=(s, v))
+        block = g.has_edges_block(u, w)
+        naive = np.array([[[uu >= 0 and int(ww) in g.neighbors(int(uu))
+                            for ww in w[r]] for uu in u[r]]
+                          for r in range(s)], dtype=bool).reshape(s, t, v)
+        assert np.array_equal(block, naive)
+
     @given(weighted_graphs())
     @settings(max_examples=40, deadline=None)
     def test_weight_prefix_monotone_per_row(self, g):
